@@ -281,11 +281,19 @@ pub struct AppendOutcome {
 /// value ascending) and keeps the first `k` — the shared top-k ordering of
 /// every backend.
 pub fn rank_top_k(groups: Vec<Estimate>, k: usize) -> Vec<(u32, Estimate)> {
-    let mut ranked: Vec<(u32, Estimate)> = groups
-        .into_iter()
-        .enumerate()
-        .map(|(v, e)| (v as u32, e))
-        .collect();
+    rank_candidates(
+        groups
+            .into_iter()
+            .enumerate()
+            .map(|(v, e)| (v as u32, e))
+            .collect(),
+        k,
+    )
+}
+
+/// Ranks `(value, estimate)` candidates with the [`rank_top_k`] ordering
+/// and keeps the first `k`.
+pub fn rank_candidates(mut ranked: Vec<(u32, Estimate)>, k: usize) -> Vec<(u32, Estimate)> {
     ranked.sort_by(|a, b| {
         b.1.expectation
             .total_cmp(&a.1.expectation)

@@ -13,6 +13,8 @@
 //!   crossed, and
 //! * a served **mixture** — a [`ShardedSummary`] over
 //!   `segments + fitted delta`, republished atomically after every fold.
+//!   [`LiveSummary`] forwards every query primitive to the current
+//!   snapshot's mixture.
 //!
 //! The delta lifecycle is `stage → re-solve (fold) → serve → compact
 //! (seal)`: once the fitted delta reaches the seal threshold it is promoted
@@ -21,19 +23,18 @@
 //! fresh empty delta starts. A retention cap on sealed segments then gives
 //! TTL for free: the oldest segment (the oldest rows) is dropped wholesale.
 //!
-//! Everything the scatter/merge layer guarantees for static mixtures (exact
+//! Everything the mixture guarantees for static shard sets (exact
 //! COUNT/SUM merges, mixture probabilities, stratified sampling) holds here
 //! unchanged, because each published snapshot *is* a `ShardedSummary`.
 //!
 //! **Epochs.** The summary carries a monotonically increasing epoch,
-//! bumped once per published mixture (fold, seal, retention). The same
-//! atomic doubles as the generation counter inside every snapshot's
-//! gather-cache identity
-//! ([`crate::scatter::ShardCacheId::with_generation`]), so a fold instantly
-//! orphans cached probe answers; the per-model marginal caches are fresh by
-//! construction (each fold fits a new model whose `OnceLock` cells start
-//! empty). Anything caching derived answers above this layer must key them
-//! by [`LiveSummary::epoch`].
+//! bumped once per published mixture (fold, seal, retention). Every
+//! published mixture gets a fresh gather cache, so a fold instantly
+//! orphans cached probe answers (the cache counters carry over, see
+//! [`SummaryBackend::cache_stats`]); the per-model marginal caches are
+//! fresh by construction (each fold fits a new model whose `OnceLock`
+//! cells start empty). Anything caching derived answers above this layer
+//! must key them by [`LiveSummary::epoch`].
 //!
 //! **Idempotent appends.** A batch may carry an opaque idempotency token;
 //! replaying a token (a client retry after a transport error) reports
@@ -50,7 +51,7 @@ use crate::error::{ModelError, Result};
 use crate::metrics::{CacheStatsSnapshot, IngestCounters, IngestStatsSnapshot};
 use crate::model::MaxEntSummary;
 use crate::query::Estimate;
-use crate::sharded::{stats_with_support, ShardedScratch, ShardedSummary};
+use crate::sharded::{stats_with_support, MixtureSamplePlan, ShardedScratch, ShardedSummary};
 use crate::solver::SolverConfig;
 use crate::statistics::MultiDimStatistic;
 use entropydb_storage::{AttrId, Schema, Table};
@@ -219,6 +220,25 @@ pub fn fit_segment(
 struct Served {
     mixture: ShardedSummary,
     epoch: u64,
+    /// Probe-cache counters of every earlier snapshot's cache, summed at
+    /// each publish, so the reported counters never drop at a fold.
+    retired: CacheStatsSnapshot,
+}
+
+/// The mixture a publish serves: sealed segments plus the fitted delta, in
+/// that order, fronted by a fresh probe cache when configured.
+fn compose(
+    segments: &[MaxEntSummary],
+    delta: Option<&MaxEntSummary>,
+    cache_entries: usize,
+) -> Result<ShardedSummary> {
+    let models: Vec<MaxEntSummary> = segments.iter().chain(delta).cloned().collect();
+    let mixture = ShardedSummary::from_shards(models)?;
+    Ok(if cache_entries > 0 {
+        mixture.with_probe_cache(cache_entries)
+    } else {
+        mixture
+    })
 }
 
 /// Mutable ingest state, all behind one mutex: the sealed segments, the
@@ -274,10 +294,8 @@ struct Inner {
     multi: Vec<MultiDimStatistic>,
     solver: SolverConfig,
     config: IngestConfig,
-    /// The ingest epoch *and* the generation counter inside every
-    /// snapshot's probe-cache identity — one atomic, two jobs, so cache
-    /// invalidation can never lag the epoch.
-    epoch: Arc<AtomicU64>,
+    /// The ingest epoch.
+    epoch: AtomicU64,
     state: Mutex<LiveState>,
     /// Serializes folds so concurrent triggers cannot interleave solve /
     /// publish; the `state` lock is *released* during the solve itself, so
@@ -299,29 +317,21 @@ impl Inner {
         Arc::clone(&self.served.lock().unwrap())
     }
 
-    /// Builds the mixture a publish will serve: sealed segments plus the
-    /// fitted delta, in that order, fronted by an epoch-generation probe
-    /// cache when configured.
-    fn compose(&self, state: &LiveState) -> Result<ShardedSummary> {
-        let mut models: Vec<MaxEntSummary> = state.segments.clone();
-        if let Some(delta) = &state.delta_model {
-            models.push(delta.clone());
-        }
-        let mut mixture = ShardedSummary::from_shards(models)?;
-        if self.config.probe_cache_entries > 0 {
-            mixture = mixture.with_probe_cache_generation(
-                self.config.probe_cache_entries,
-                Arc::clone(&self.epoch),
-            );
-        }
-        Ok(mixture)
-    }
-
     /// Publishes `state` as the served snapshot under a fresh epoch.
     fn publish(&self, state: &LiveState) -> Result<u64> {
-        let mixture = self.compose(state)?;
+        let mixture = compose(
+            &state.segments,
+            state.delta_model.as_ref(),
+            self.config.probe_cache_entries,
+        )?;
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        *self.served.lock().unwrap() = Arc::new(Served { mixture, epoch });
+        let mut served = self.served.lock().unwrap();
+        let retired = served.retired + served.mixture.cache_stats().unwrap_or_default();
+        *served = Arc::new(Served {
+            mixture,
+            epoch,
+            retired,
+        });
         Ok(epoch)
     }
 
@@ -518,27 +528,21 @@ impl LiveSummary {
             token_order: VecDeque::new(),
         };
         let background = config.background;
-        let epoch_counter = Arc::new(AtomicU64::new(epoch));
-        // The initial snapshot is composed by hand (`Inner::compose` needs
-        // an `Inner`): base segments only, cache identity on the shared
-        // epoch counter.
-        let mut mixture = ShardedSummary::from_shards(state.segments.clone())?;
-        if config.probe_cache_entries > 0 {
-            mixture = mixture.with_probe_cache_generation(
-                config.probe_cache_entries,
-                Arc::clone(&epoch_counter),
-            );
-        }
+        let mixture = compose(&state.segments, None, config.probe_cache_entries)?;
         let inner = Arc::new(Inner {
             schema,
             domain_sizes,
             multi,
             solver,
             config,
-            epoch: epoch_counter,
+            epoch: AtomicU64::new(epoch),
             state: Mutex::new(state),
             fold_lock: Mutex::new(()),
-            served: Mutex::new(Arc::new(Served { mixture, epoch })),
+            served: Mutex::new(Arc::new(Served {
+                mixture,
+                epoch,
+                retired: CacheStatsSnapshot::default(),
+            })),
             counters: IngestCounters::default(),
             signal: Mutex::new(WorkerSignal::default()),
             wake: Condvar::new(),
@@ -696,7 +700,7 @@ pub struct LiveScratch {
 /// from one consistent mixture even if folds land mid-call.
 pub struct LivePlan {
     served: Arc<Served>,
-    inner: Vec<u32>,
+    inner: MixtureSamplePlan,
 }
 
 /// Rebuilds `scratch` against `served`'s mixture when it was shaped for a
@@ -830,8 +834,12 @@ impl SummaryBackend for LiveSummary {
         )
     }
 
+    /// The current snapshot's cache counters plus those of every cache an
+    /// earlier fold retired: monotonic across folds.
     fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        self.inner.snapshot().mixture.cache_stats()
+        let served = self.inner.snapshot();
+        let current = served.mixture.cache_stats()?;
+        Some(served.retired + current)
     }
 
     fn epoch(&self) -> u64 {

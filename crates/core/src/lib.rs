@@ -52,9 +52,9 @@
 //! | [`model`] / [`query`] | §3.2, §4.2 | `MaxEntSummary`, estimates with variance |
 //! | [`plan`] | — | unified query IR (`QueryRequest`/`QueryResponse`) + wire encoding |
 //! | [`engine`] | — | `SummaryBackend` trait + generic `QueryEngine` (`execute`, scratch pool, batching) |
-//! | [`sharded`] | — | `ShardedSummary`: per-partition models with merged estimates |
+//! | [`sharded`] | — | `Mixture`: the one mixture backend; `ShardedSummary` = per-partition models with merged estimates |
 //! | [`ingest`] | — | `LiveSummary`: streaming ingest (delta shard, folds, compaction, epochs) |
-//! | [`scatter`] | — | shard-source-agnostic merge layer (`ShardProbe`, gather drivers) |
+//! | [`scatter`] | — | shard-source-agnostic probe layer (`ShardProbe`, fan-out, gather cache) |
 //! | [`probe`] | — | mask-level shard-probe IR + wire encoding |
 //! | [`selection`] | §4.3 | LARGE / ZERO / COMPOSITE, KD-tree, pair choice |
 //! | [`metrics`] | §6.2 | relative error, F-measure |

@@ -174,6 +174,19 @@ pub struct CacheStatsSnapshot {
     pub evicted: u64,
 }
 
+impl std::ops::Add for CacheStatsSnapshot {
+    type Output = CacheStatsSnapshot;
+
+    fn add(self, other: CacheStatsSnapshot) -> CacheStatsSnapshot {
+        CacheStatsSnapshot {
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            coalesced: self.coalesced + other.coalesced,
+            evicted: self.evicted + other.evicted,
+        }
+    }
+}
+
 impl CacheStatsSnapshot {
     /// Fraction of lookups answered from the cache (0 when idle).
     pub fn hit_rate(&self) -> f64 {

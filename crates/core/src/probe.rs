@@ -549,24 +549,12 @@ pub fn execute<B: SummaryBackend>(
                 return Err(ModelError::ShapeMismatch);
             }
             with(&mut |s| {
-                // The same restriction step the gatherer's local merge
-                // path applies, so probe masks (and answers) are
-                // bit-identical to in-process re-probes. Chunks of
-                // restricted masks ride the fused multi-mask kernel —
-                // one candidate set costs a few slab traversals, not one
-                // per candidate — with bounded mask memory.
-                let mut list = Vec::with_capacity(values.len());
-                for chunk in values.chunks(crate::scatter::RESTRICTED_PROBE_CHUNK) {
-                    let probes: Vec<Mask> = chunk
-                        .iter()
-                        .map(|&v| {
-                            let mut probe = mask.clone();
-                            probe.restrict_in_place(*attr, v, n_attr);
-                            probe
-                        })
-                        .collect();
-                    list.extend(backend.counts_under_masks(&probes, s)?);
-                }
+                // The same restriction step an in-process re-probe takes,
+                // so probe masks (and answers) are bit-identical; chunks
+                // of restricted masks ride the fused multi-mask kernel.
+                let list = crate::scatter::restricted_counts(mask, *attr, values, n_attr, |m| {
+                    backend.counts_under_masks(m, s)
+                })?;
                 Ok(ProbeResponse::Estimates(list))
             })
         }

@@ -1,44 +1,31 @@
-//! The shard-source-agnostic scatter/gather layer.
+//! The shard-source-agnostic probe layer under every mixture.
 //!
-//! [`ShardedSummary`](crate::sharded::ShardedSummary) historically merged
-//! per-shard answers by calling its in-process
-//! [`MaxEntSummary`] shards directly. This
-//! module lifts that merge arithmetic off concrete shard references and
-//! onto an abstract per-shard probe interface, [`ShardProbe`]: anything
-//! that can answer mask-level estimator probes for one shard — an
-//! in-process model, or a TCP connection to a remote `entropydb-serve`
-//! instance — can sit under the same merge functions. The local sharded
-//! backend and a remote scatter/gather backend therefore share every
-//! floating-point operation, which is what makes remote answers
-//! bitwise-identical to local ones.
+//! A [`Mixture`](crate::sharded::Mixture) answers queries by probing each
+//! of its shards and folding the answers (see [`crate::sharded`] for the
+//! merge rules). This module holds the shard side of that split:
 //!
-//! The merge rules (see the module docs of [`crate::sharded`] for the
-//! statistical argument):
-//!
-//! * probability: shard mixture `Σ (n_s / n) · p_s`, clamped into `[0, 1]`;
-//! * COUNT / SUM: expectations and variances add, folded in shard order;
-//! * group-by: cells add value-wise, folded in shard order;
-//! * top-k: per-shard candidates are unioned and every candidate re-probed
-//!   exactly across all shards before the final ranking;
-//! * sampling: draws stratify across shards by largest-remainder
-//!   apportionment of shard cardinalities, with every tuple's stream
-//!   derived only from `(seed, global index)`.
-//!
-//! A single shard bypasses every merge fold (the sole result is returned
-//! unchanged), preserving the bitwise 1-shard == monolithic guarantee.
-//!
-//! The module also hosts the gather-side answer cache ([`ProbeCache`], a
-//! bounded two-segment LRU with single-flight coalescing), the
-//! [`CachedProbe`] wrapper that puts the cache in front of any
-//! [`ShardProbe`], and [`GatherCache`], the per-backend bundle of cache +
-//! shard identity tokens whose `peek_*` fast paths answer fully-cached
-//! queries without entering the fan-out pool at all. Cache keys are the
-//! canonical probe encoding (1:1 with the `b1` wire form) combined with a
-//! per-shard blob-identity token, so swapping a shard's blob invalidates
-//! every cached answer for it.
+//! * [`ShardProbe`], the mask-level estimator surface of one shard. An
+//!   in-process [`MaxEntSummary`] is one probe; a TCP connection to a
+//!   remote `entropydb-serve` instance (`entropydb_server::RemoteShard`)
+//!   is another. Every probe sits under the same mixture folds, which is
+//!   what makes remote answers bitwise-identical to local ones.
+//! * [`fan_out`], which runs one probe per shard on the worker pool and
+//!   returns the answers in shard order.
+//! * the gather-side answer cache: [`ProbeCache`] (a bounded two-segment
+//!   LRU with single-flight coalescing), [`CachedProbe`] (the cache in
+//!   front of any [`ShardProbe`]), and [`GatherCache`] (one cache plus one
+//!   identity token per shard, whose [`GatherCache::peek_all`] answers a
+//!   fully-cached probe without entering the pool). Cache keys are the
+//!   canonical probe encoding (1:1 with the `b1` wire form) combined with
+//!   a per-shard identity token, so swapping a shard's blob invalidates
+//!   every cached answer for it.
+//! * the stratified sampling plan: draws are apportioned across shards by
+//!   largest remainder of the shard cardinalities
+//!   ([`sample_assignment`]), with every tuple's stream derived only from
+//!   `(seed, global index)`.
 
 use crate::assignment::Mask;
-use crate::engine::{rank_top_k, SummaryBackend};
+use crate::engine::SummaryBackend;
 use crate::error::{ModelError, RemoteDetail, Result};
 use crate::metrics::{CacheCounters, CacheStatsSnapshot};
 use crate::model::MaxEntSummary;
@@ -109,15 +96,14 @@ pub trait ShardProbe: Send + Sync {
 
     /// One COUNT estimate per candidate value: the base mask restricted to
     /// each value of `attr` in turn — the top-k re-probe. The default
-    /// rebuilds each probe mask locally (the same `restrict_in_place` step
-    /// the merge driver historically applied) and rides
+    /// builds the probe masks locally with [`restricted_counts`] and rides
     /// [`ShardProbe::probe_count_many`] in bounded chunks, so in-process
     /// probes answer a whole candidate set through the fused multi-mask
     /// kernel instead of one masked walk per candidate (bitwise-identical
-    /// to the historical per-value loop — the fused kernel's contract).
-    /// Remote probes override this to transport the base mask plus the
-    /// value list in one compact wire round, rebuilding the masks
-    /// shard-side with identical arithmetic.
+    /// to the per-value loop — the fused kernel's contract). Remote probes
+    /// override this to transport the base mask plus the value list in one
+    /// compact wire round; the shard rebuilds the masks with the same
+    /// helper.
     fn probe_count_restricted(
         &self,
         mask: &Mask,
@@ -126,19 +112,9 @@ pub trait ShardProbe: Send + Sync {
         n_attr: usize,
         scratch: &mut Self::Scratch,
     ) -> Result<Vec<Estimate>> {
-        let mut out = Vec::with_capacity(values.len());
-        for chunk in values.chunks(RESTRICTED_PROBE_CHUNK) {
-            let masks: Vec<Mask> = chunk
-                .iter()
-                .map(|&v| {
-                    let mut probe = mask.clone();
-                    probe.restrict_in_place(attr, v, n_attr);
-                    probe
-                })
-                .collect();
-            out.extend(self.probe_count_many(&masks, scratch)?);
-        }
-        Ok(out)
+        restricted_counts(mask, attr, values, n_attr, |masks| {
+            self.probe_count_many(masks, scratch)
+        })
     }
 
     /// SUM estimate under the base mask, weighting `attr` by `values`.
@@ -176,6 +152,42 @@ pub trait ShardProbe: Send + Sync {
         indices: &[u64],
         scratch: &mut Self::Scratch,
     ) -> Result<Vec<Vec<u32>>>;
+
+    /// The counter this shard bumps whenever the answers it serves change
+    /// (a remote replica caught serving a swapped blob, a live node's
+    /// fold). A gather cache mixes it into the shard's keys, so a bump
+    /// orphans every cached answer. `None` (the default) for shards whose
+    /// answers never change underneath the gatherer.
+    fn cache_generation(&self) -> Option<Arc<AtomicU64>> {
+        None
+    }
+}
+
+/// The top-k re-probe: `mask` restricted to each candidate value of `attr`
+/// in turn, answered by `count_many` at most [`RESTRICTED_PROBE_CHUNK`]
+/// masks at a time. The one mask-building step behind both the default
+/// [`ShardProbe::probe_count_restricted`] and the shard-side `countr`
+/// probe handler, so local and remote re-probes are bit-identical.
+pub fn restricted_counts(
+    mask: &Mask,
+    attr: AttrId,
+    values: &[u32],
+    n_attr: usize,
+    mut count_many: impl FnMut(&[Mask]) -> Result<Vec<Estimate>>,
+) -> Result<Vec<Estimate>> {
+    let mut out = Vec::with_capacity(values.len());
+    for chunk in values.chunks(RESTRICTED_PROBE_CHUNK) {
+        let masks: Vec<Mask> = chunk
+            .iter()
+            .map(|&v| {
+                let mut probe = mask.clone();
+                probe.restrict_in_place(attr, v, n_attr);
+                probe
+            })
+            .collect();
+        out.extend(count_many(&masks)?);
+    }
+    Ok(out)
 }
 
 /// An in-process model is the canonical shard probe: every probe is one
@@ -745,21 +757,21 @@ fn cached_shape_error() -> ModelError {
     ))
 }
 
-fn as_probability(resp: &ProbeResponse) -> Result<f64> {
+pub(crate) fn as_probability(resp: &ProbeResponse) -> Result<f64> {
     match resp {
         ProbeResponse::Probability(p) => Ok(*p),
         _ => Err(cached_shape_error()),
     }
 }
 
-fn as_estimate(resp: &ProbeResponse) -> Result<Estimate> {
+pub(crate) fn as_estimate(resp: &ProbeResponse) -> Result<Estimate> {
     match resp {
         ProbeResponse::Estimate(e) => Ok(*e),
         _ => Err(cached_shape_error()),
     }
 }
 
-fn as_groups(resp: &ProbeResponse) -> Result<Vec<Estimate>> {
+pub(crate) fn as_groups(resp: &ProbeResponse) -> Result<Vec<Estimate>> {
     match resp {
         ProbeResponse::Groups(cells) => Ok(cells.clone()),
         _ => Err(cached_shape_error()),
@@ -1040,14 +1052,13 @@ impl<P: ShardProbe> ShardProbe for CachedProbe<'_, P> {
     }
 }
 
-/// The per-backend cache bundle: one [`ProbeCache`] plus one
-/// [`ShardCacheId`] per shard. Backends consult the `peek_*` fast paths
-/// first — when *every* shard's answer is cached, the merge fold runs
-/// serially right here (the same arithmetic as the scatter drivers,
-/// expression for expression) and the fan-out worker pool is bypassed
-/// entirely, which is what closes the cached point-query gap. On any
-/// miss, [`GatherCache::probes`] wraps the shards in [`CachedProbe`] and
-/// the normal drivers run.
+/// The per-mixture cache bundle: one [`ProbeCache`] plus one
+/// [`ShardCacheId`] per shard. A mixture first tries
+/// [`GatherCache::peek_all`] — when *every* shard's answer is cached, the
+/// fold runs on the calling thread and the fan-out worker pool is bypassed
+/// entirely, which is what closes the cached point-query gap. On any miss,
+/// [`GatherCache::probes`] wraps the shards in [`CachedProbe`] for the
+/// normal fan-out.
 #[derive(Debug)]
 pub struct GatherCache {
     cache: Arc<ProbeCache>,
@@ -1075,7 +1086,7 @@ impl GatherCache {
     }
 
     /// Wraps each shard in a [`CachedProbe`] under its current identity
-    /// token, for the scatter drivers.
+    /// token, for the fan-out.
     pub fn probes<'a, P: ShardProbe>(&'a self, inner: &'a [P]) -> Vec<CachedProbe<'a, P>> {
         assert_eq!(inner.len(), self.shards.len(), "one cache id per shard");
         inner
@@ -1085,69 +1096,22 @@ impl GatherCache {
             .collect()
     }
 
-    /// Peeks one body across every shard; `Some` only when all answers
-    /// are cached. Does not touch the counters — callers account for the
-    /// whole round on success.
-    fn peek_all(&self, body: &ProbeKeyBody) -> Option<Vec<Arc<ProbeResponse>>> {
-        let mut responses = Vec::with_capacity(self.shards.len());
+    /// Every shard's cached answer to one probe, in shard order; `Some`
+    /// only when all of them are cached and have the shape `extract`
+    /// expects. The whole round counts as hits on success and touches no
+    /// counter otherwise (the fan-out that follows a miss counts itself).
+    pub fn peek_all<R>(
+        &self,
+        body: &ProbeKeyBody,
+        extract: impl Fn(&ProbeResponse) -> Result<R>,
+    ) -> Option<Vec<R>> {
+        let mut answers = Vec::with_capacity(self.shards.len());
         for id in &self.shards {
-            responses.push(self.cache.peek(&body.key(id.token()))?);
+            let resp = self.cache.peek(&body.key(id.token()))?;
+            answers.push(extract(&resp).ok()?);
         }
-        Some(responses)
-    }
-
-    /// Fully-cached mixture probability — the exact
-    /// [`mixture_probability`] fold in shard order, without the pool.
-    pub fn peek_probability(&self, mask: &Mask, weights: &[f64]) -> Option<f64> {
-        let responses = self.peek_all(&ProbeKeyBody::probability(mask))?;
-        let mut ps = Vec::with_capacity(responses.len());
-        for resp in &responses {
-            ps.push(as_probability(resp).ok()?);
-        }
-        self.cache.counters().add_hits(responses.len() as u64);
-        Some(
-            ps.iter()
-                .zip(weights)
-                .fold(0.0, |acc, (&p, &w)| acc + w * p)
-                .clamp(0.0, 1.0),
-        )
-    }
-
-    /// Fully-cached merged COUNT — the exact [`merged_count`] shard-order
-    /// fold, without the pool.
-    pub fn peek_count(&self, mask: &Mask) -> Option<Estimate> {
-        let responses = self.peek_all(&ProbeKeyBody::count(mask))?;
-        let mut counts = Vec::with_capacity(responses.len());
-        for resp in &responses {
-            counts.push(as_estimate(resp).ok()?);
-        }
-        self.cache.counters().add_hits(responses.len() as u64);
-        counts.into_iter().reduce(add_estimates)
-    }
-
-    /// Fully-cached merged SUM — the exact [`merged_sum`] fold.
-    pub fn peek_sum(&self, base: &Mask, attr: AttrId, values: &[f64]) -> Option<Estimate> {
-        let responses = self.peek_all(&ProbeKeyBody::sum(base, attr, values))?;
-        let mut sums = Vec::with_capacity(responses.len());
-        for resp in &responses {
-            sums.push(as_estimate(resp).ok()?);
-        }
-        self.cache.counters().add_hits(responses.len() as u64);
-        sums.into_iter().reduce(add_estimates)
-    }
-
-    /// Fully-cached merged group-by — the exact [`merged_group_by`]
-    /// value-wise fold (a shape mismatch falls back to the driver, which
-    /// reports it).
-    pub fn peek_group_by(&self, mask: &Mask, attr: AttrId) -> Option<Vec<Estimate>> {
-        let responses = self.peek_all(&ProbeKeyBody::group_by(mask, attr))?;
-        let mut per_shard = Vec::with_capacity(responses.len());
-        for resp in &responses {
-            per_shard.push(as_groups(resp).ok()?);
-        }
-        let merged = merge_cells(per_shard).ok()?;
-        self.cache.counters().add_hits(responses.len() as u64);
-        Some(merged)
+        self.cache.counters().add_hits(answers.len() as u64);
+        Some(answers)
     }
 }
 
@@ -1175,200 +1139,6 @@ pub fn fan_out<P: ShardProbe, R: Send>(
     work.into_iter()
         .map(|(_, _, _, r)| r.expect("fan-out slot filled"))
         .collect()
-}
-
-/// Sums two independent estimates (expectations add, variances add).
-pub fn add_estimates(a: Estimate, b: Estimate) -> Estimate {
-    Estimate::new(a.expectation + b.expectation, a.variance + b.variance)
-}
-
-/// Merges per-shard results with `combine`, returning the sole result
-/// unchanged when there is one shard (the bitwise 1-shard guarantee).
-fn merge<R>(results: Vec<R>, combine: impl Fn(R, R) -> R) -> R {
-    results
-        .into_iter()
-        .reduce(combine)
-        .expect("at least one shard")
-}
-
-fn collect_fan_out<P: ShardProbe, R: Send>(
-    probes: &[P],
-    scratches: &mut [P::Scratch],
-    f: impl Fn(usize, &P, &mut P::Scratch) -> Result<R> + Sync,
-) -> Result<Vec<R>> {
-    fan_out(probes, scratches, f).into_iter().collect()
-}
-
-/// Merges value-aligned per-shard cell vectors by adding estimates
-/// position-wise; every shard must answer the same number of cells.
-fn merge_cells(per_shard: Vec<Vec<Estimate>>) -> Result<Vec<Estimate>> {
-    let len = per_shard.first().map_or(0, Vec::len);
-    if per_shard.iter().any(|cells| cells.len() != len) {
-        return Err(ModelError::Remote(RemoteDetail::message(
-            "shards answered mismatched group-by shapes",
-        )));
-    }
-    Ok(merge(per_shard, |mut acc, cells| {
-        for (a, b) in acc.iter_mut().zip(cells) {
-            *a = add_estimates(*a, b);
-        }
-        acc
-    }))
-}
-
-/// Mixture probability `Σ (n_s / n) · p_s`, clamped into `[0, 1]`.
-pub fn mixture_probability<P: ShardProbe>(
-    probes: &[P],
-    weights: &[f64],
-    mask: &Mask,
-    scratches: &mut [P::Scratch],
-) -> Result<f64> {
-    let ps = collect_fan_out(probes, scratches, |_, p, s| p.probe_probability(mask, s))?;
-    Ok(ps
-        .iter()
-        .zip(weights)
-        .fold(0.0, |acc, (&p, &w)| acc + w * p)
-        .clamp(0.0, 1.0))
-}
-
-/// Merged COUNT: per-shard estimates added in shard order.
-pub fn merged_count<P: ShardProbe>(
-    probes: &[P],
-    mask: &Mask,
-    scratches: &mut [P::Scratch],
-) -> Result<Estimate> {
-    let counts = collect_fan_out(probes, scratches, |_, p, s| p.probe_count(mask, s))?;
-    Ok(merge(counts, add_estimates))
-}
-
-/// Batched mixture probability: one batched per-shard pass (the fused
-/// kernel in-process, few wire rounds remotely) answers every mask; each
-/// mask then gets exactly the [`mixture_probability`] shard-order fold and
-/// clamp, so results are bitwise-identical to probing the masks one at a
-/// time.
-pub fn mixture_probability_many<P: ShardProbe>(
-    probes: &[P],
-    weights: &[f64],
-    masks: &[Mask],
-    scratches: &mut [P::Scratch],
-) -> Result<Vec<f64>> {
-    let per_shard = collect_fan_out(probes, scratches, |_, p, s| {
-        p.probe_probability_many(masks, s)
-    })?;
-    if per_shard.iter().any(|ps| ps.len() != masks.len()) {
-        return Err(ModelError::Remote(RemoteDetail::message(
-            "shards answered mismatched batch shapes",
-        )));
-    }
-    Ok((0..masks.len())
-        .map(|m| {
-            per_shard
-                .iter()
-                .zip(weights)
-                .fold(0.0, |acc, (ps, &w)| acc + w * ps[m])
-                .clamp(0.0, 1.0)
-        })
-        .collect())
-}
-
-/// Batched merged COUNT: one batched per-shard pass, then the
-/// [`merged_count`] shard-order fold per mask (a single shard returns its
-/// sole estimate unchanged — the bitwise 1-shard guarantee).
-pub fn merged_count_many<P: ShardProbe>(
-    probes: &[P],
-    masks: &[Mask],
-    scratches: &mut [P::Scratch],
-) -> Result<Vec<Estimate>> {
-    let per_shard = collect_fan_out(probes, scratches, |_, p, s| p.probe_count_many(masks, s))?;
-    if per_shard.iter().any(|es| es.len() != masks.len()) {
-        return Err(ModelError::Remote(RemoteDetail::message(
-            "shards answered mismatched batch shapes",
-        )));
-    }
-    Ok((0..masks.len())
-        .map(|m| {
-            per_shard
-                .iter()
-                .map(|es| es[m])
-                .reduce(add_estimates)
-                .expect("at least one shard")
-        })
-        .collect())
-}
-
-/// Merged SUM: per-shard estimates added in shard order.
-pub fn merged_sum<P: ShardProbe>(
-    probes: &[P],
-    base: &Mask,
-    attr: AttrId,
-    values: &[f64],
-    scratches: &mut [P::Scratch],
-) -> Result<Estimate> {
-    let sums = collect_fan_out(probes, scratches, |_, p, s| {
-        p.probe_sum(base, attr, values, s)
-    })?;
-    Ok(merge(sums, add_estimates))
-}
-
-/// Merged group-by: per-shard cells added value-wise.
-pub fn merged_group_by<P: ShardProbe>(
-    probes: &[P],
-    mask: &Mask,
-    attr: AttrId,
-    scratches: &mut [P::Scratch],
-) -> Result<Vec<Estimate>> {
-    let per_shard = collect_fan_out(probes, scratches, |_, p, s| p.probe_group_by(mask, attr, s))?;
-    merge_cells(per_shard)
-}
-
-/// Merged top-k: per-shard candidates + exact cross-shard re-probe. With
-/// one shard this is exactly the full-ranking path (bitwise parity with
-/// the monolithic model); with several, each shard nominates its local
-/// top-k, the candidate values are unioned, and every candidate is
-/// re-scored against *all* shards (one batched
-/// [`ShardProbe::probe_count_restricted`] per shard) before the final
-/// ranking —
-/// a value popular overall but below `k` somewhere is still ranked
-/// correctly.
-pub fn merged_top_k<P: ShardProbe>(
-    probes: &[P],
-    mask: &Mask,
-    attr: AttrId,
-    k: usize,
-    n_attr: usize,
-    scratches: &mut [P::Scratch],
-) -> Result<Vec<(u32, Estimate)>> {
-    if probes.len() == 1 {
-        let groups = probes[0].probe_group_by(mask, attr, &mut scratches[0])?;
-        return Ok(rank_top_k(groups, k));
-    }
-    let candidate_lists =
-        collect_fan_out(probes, scratches, |_, p, s| p.probe_top_k(mask, attr, k, s))?;
-    let mut candidates: Vec<u32> = candidate_lists
-        .into_iter()
-        .flatten()
-        .map(|(v, _)| v)
-        .collect();
-    candidates.sort_unstable();
-    candidates.dedup();
-
-    let per_shard = collect_fan_out(probes, scratches, |_, p, s| {
-        p.probe_count_restricted(mask, attr, &candidates, n_attr, s)
-    })?;
-    let merged = merge_cells(per_shard)?;
-    if merged.len() != candidates.len() {
-        return Err(ModelError::Remote(RemoteDetail::message(
-            "shards answered mismatched candidate counts",
-        )));
-    }
-    let mut ranked: Vec<(u32, Estimate)> = candidates.into_iter().zip(merged).collect();
-    ranked.sort_by(|a, b| {
-        b.1.expectation
-            .total_cmp(&a.1.expectation)
-            .then(a.0.cmp(&b.0))
-    });
-    ranked.truncate(k);
-    Ok(ranked)
 }
 
 /// Largest-remainder (Hamilton) apportionment of `k` draws proportional to
@@ -1692,42 +1462,81 @@ mod tests {
 
     #[test]
     fn gather_cache_peek_paths_match_drivers_bitwise() {
-        let probes = [CountingProbe::new(60), CountingProbe::new(40)];
-        let ids = vec![ShardCacheId::new(1), ShardCacheId::new(2)];
-        let gather = GatherCache::new(256, ids);
-        let weights = [0.6, 0.4];
+        use crate::sharded::Mixture;
+        use entropydb_storage::Attribute;
+        let schema = Schema::new(vec![
+            Attribute::categorical("a", 2).unwrap(),
+            Attribute::categorical("b", 3).unwrap(),
+        ]);
+        let mixture = |schema: &Schema| {
+            let probes = vec![CountingProbe::new(60), CountingProbe::new(40)];
+            Mixture::new(schema.clone(), probes).unwrap()
+        };
+        let uncached = mixture(&schema);
+        let cached = mixture(&schema).with_probe_cache(256);
         let mask = weighted_mask(&[1.5, 0.5]);
-        let mut scratches = [(), ()];
+        let masks = [mask.clone(), weighted_mask(&[0.25, 2.0])];
+        let values = [1.0, 2.0];
+        let (mut su, mut sc) = (uncached.make_scratch(), cached.make_scratch());
+        let calls = |m: &Mixture<CountingProbe>| -> Vec<usize> {
+            m.shards().iter().map(CountingProbe::calls).collect()
+        };
+        let mut cold_calls = Vec::new();
 
-        assert!(gather.peek_count(&mask).is_none(), "cold cache: no peek");
-        let driven = merged_count(&gather.probes(&probes), &mask, &mut scratches).unwrap();
-        let peeked = gather.peek_count(&mask).expect("warm cache peeks");
-        assert_eq!(driven, peeked);
+        // Pass 0 fans out behind the cache; pass 1 is answered entirely
+        // from it (peeked without the pool where the op has a cache key).
+        // Both must be bitwise the uncached answers, for every op.
+        for pass in 0..2 {
+            if pass == 1 {
+                cold_calls = calls(&cached);
+            }
+            let p = |m: &Mixture<CountingProbe>, s: &mut Vec<()>| {
+                m.probability_under_mask(&mask, s).unwrap().to_bits()
+            };
+            assert_eq!(p(&cached, &mut sc), p(&uncached, &mut su));
+            let ps = |m: &Mixture<CountingProbe>, s: &mut Vec<()>| -> Vec<u64> {
+                let ps = m.probabilities_under_masks(&masks, s).unwrap();
+                ps.into_iter().map(f64::to_bits).collect()
+            };
+            assert_eq!(ps(&cached, &mut sc), ps(&uncached, &mut su));
+            assert_eq!(
+                cached.count_under_mask(&mask, &mut sc).unwrap(),
+                uncached.count_under_mask(&mask, &mut su).unwrap()
+            );
+            assert_eq!(
+                cached.counts_under_masks(&masks, &mut sc).unwrap(),
+                uncached.counts_under_masks(&masks, &mut su).unwrap()
+            );
+            assert_eq!(
+                cached
+                    .sum_under_mask(&mask, AttrId(0), &values, &mut sc)
+                    .unwrap(),
+                uncached
+                    .sum_under_mask(&mask, AttrId(0), &values, &mut su)
+                    .unwrap()
+            );
+            assert_eq!(
+                cached
+                    .group_by_under_mask(&mask, AttrId(0), &mut sc)
+                    .unwrap(),
+                uncached
+                    .group_by_under_mask(&mask, AttrId(0), &mut su)
+                    .unwrap()
+            );
+            assert_eq!(
+                cached
+                    .top_k_under_mask(&mask, AttrId(0), 2, &mut sc)
+                    .unwrap(),
+                uncached
+                    .top_k_under_mask(&mask, AttrId(0), 2, &mut su)
+                    .unwrap()
+            );
+        }
 
-        let p_driven =
-            mixture_probability(&gather.probes(&probes), &weights, &mask, &mut scratches).unwrap();
-        let p_peeked = gather.peek_probability(&mask, &weights).unwrap();
-        assert_eq!(p_driven.to_bits(), p_peeked.to_bits());
-
-        let g_driven =
-            merged_group_by(&gather.probes(&probes), &mask, AttrId(0), &mut scratches).unwrap();
-        let g_peeked = gather.peek_group_by(&mask, AttrId(0)).unwrap();
-        assert_eq!(g_driven, g_peeked);
-
-        let s_driven = merged_sum(
-            &gather.probes(&probes),
-            &mask,
-            AttrId(0),
-            &[1.0, 2.0],
-            &mut scratches,
-        )
-        .unwrap();
-        let s_peeked = gather.peek_sum(&mask, AttrId(0), &[1.0, 2.0]).unwrap();
-        assert_eq!(s_driven, s_peeked);
-
-        // Every shard answered each probe exactly once.
-        assert_eq!(probes[0].calls(), 4);
-        assert_eq!(probes[1].calls(), 4);
+        // The warm pass never reached a shard.
+        assert!(cold_calls.iter().all(|&c| c > 0));
+        assert_eq!(calls(&cached), cold_calls);
+        assert!(cached.cache_stats().unwrap().hits > 0);
     }
 
     #[test]

@@ -1,23 +1,48 @@
-//! Horizontally sharded summaries: one MaxEnt model per row partition.
+//! The mixture: one summary answered by several per-shard distributions.
 //!
-//! Summary build time is dominated by solving one monolithic max-ent
-//! program. [`ShardedSummary`] sidesteps that: the relation is split into
-//! horizontal shards ([`Table::partition`]), one [`MaxEntSummary`] is fitted
-//! per shard (in parallel on the persistent worker pool), and queries are
-//! answered by fanning out over the shard models and merging:
+//! The paper answers every query from one MaxEnt distribution. This module
+//! scales that to a **mixture** `Σ (n_s / n) · P_s` of per-shard
+//! distributions over disjoint row sets. [`Mixture`] is generic over its
+//! children ([`ShardProbe`]) and is the only implementation of the merge
+//! rules:
+//!
+//! * [`ShardedSummary`] is `Mixture<MaxEntSummary>`: the relation is split
+//!   into horizontal shards ([`Table::partition`]), one [`MaxEntSummary`]
+//!   is fitted per shard in parallel on the persistent worker pool, and
+//!   queries fan out over the shard models.
+//! * `entropydb_server::RemoteShardedSummary` holds a mixture of
+//!   `RemoteShard` children (one TCP-reachable replica set per shard) and
+//!   gets its whole query path from it through [`AsMixture`].
+//! * [`LiveSummary`](crate::ingest::LiveSummary) publishes a fresh
+//!   `ShardedSummary` over its segments plus the fitted delta at every
+//!   fold.
+//!
+//! The merge rules:
 //!
 //! * COUNT / SUM expectations add, and — because the shard models are
 //!   independent distributions over disjoint row sets — their variances add
 //!   too (tighter than a single Binomial over the merged probability).
-//! * Tuple-draw probability is the shard mixture `Σ (n_s / n) · p_s`.
+//! * Tuple-draw probability is the mixture `Σ (n_s / n) · p_s`, clamped
+//!   into `[0, 1]`. `n` and the weights are read from the children's
+//!   current `shard_n()` at every call, so a child whose cardinality grows
+//!   (a live node behind a gateway) is weighted by what it serves now.
 //! * Group-by cells merge by value (per-value estimates add).
 //! * Top-k unions per-shard candidates, then re-probes every candidate
 //!   exactly across all shards before ranking, so a value that is popular
 //!   overall but below `k` in some shard is still scored correctly.
 //! * `sample_rows` stratifies the draw across shards proportionally to
-//!   shard cardinality (largest-remainder apportionment), with every tuple's
-//!   SplitMix64 stream derived only from `(seed, global tuple index)` —
-//!   output is deterministic and never depends on thread fan-out.
+//!   shard cardinality (largest-remainder apportionment). Each contributing
+//!   shard draws its whole stratum in one probe on first touch, with every
+//!   tuple's SplitMix64 stream derived only from `(seed, global tuple
+//!   index)` — output is deterministic and never depends on thread fan-out.
+//!
+//! Every primitive first collects the per-shard answers, then runs one
+//! shard-order fold over them. With a gather cache on
+//! ([`Mixture::with_probe_cache`]), an answer every shard has cached is
+//! read without entering the worker pool; otherwise the shards answer
+//! through [`scatter::fan_out`] behind [`scatter::CachedProbe`]. Cached
+//! entries are the shards' own answers and the fold is shared, so cached
+//! answers are bitwise the uncached ones.
 //!
 //! Sharding also *bounds per-shard closures*: with range sharding, a shard
 //! only sees rows in its code range, so any multi statistic whose range on
@@ -30,23 +55,24 @@
 //!
 //! A `ShardedSummary` built with **one** shard answers every
 //! [`QueryEngine`](crate::engine::QueryEngine) path bit-identically to the
-//! equivalent [`MaxEntSummary`]: the single-shard merge paths are structured
-//! so no floating-point operation is added (enforced by
-//! `crates/core/tests/sharded.rs`).
+//! equivalent [`MaxEntSummary`]: a single shard's answer passes through
+//! every fold unchanged, so no floating-point operation is added (enforced
+//! by `crates/core/tests/sharded.rs`).
 
 use crate::assignment::Mask;
-use crate::engine::{ir, ScratchPool, SummaryBackend};
-use crate::error::{ModelError, Result};
+use crate::engine::{ir, rank_candidates, rank_top_k, AppendOutcome, ScratchPool, SummaryBackend};
+use crate::error::{ModelError, RemoteDetail, Result};
 use crate::factorized::FactorizedScratch;
+use crate::metrics::{CacheStatsSnapshot, IngestStatsSnapshot};
 use crate::model::MaxEntSummary;
 use crate::par;
+use crate::probe::ProbeResponse;
 use crate::query::Estimate;
-use crate::scatter;
-use crate::scatter::{GatherCache, ShardCacheId};
+use crate::scatter::{self, GatherCache, ProbeKeyBody, ShardCacheId, ShardProbe};
 use crate::solver::SolverConfig;
 use crate::statistics::MultiDimStatistic;
 use entropydb_storage::{AttrId, Histogram1D, Partitioning, Predicate, Schema, Table};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// How [`ShardedSummary::build`] fits the per-shard models.
 #[derive(Debug, Clone)]
@@ -80,17 +106,23 @@ impl Default for ShardedBuildConfig {
 /// Per-call scratch of a sharded summary: one shard-model scratch per shard.
 pub type ShardedScratch = Vec<FactorizedScratch>;
 
-/// A queryable summary sharded across horizontal row partitions.
+/// A queryable summary sharded across horizontal row partitions: the
+/// mixture of in-process shard models.
+pub type ShardedSummary = Mixture<MaxEntSummary>;
+
+/// The mixture `Σ (n_s / n) · P_s` of per-shard distributions (see the
+/// module docs for the merge rules). Implements [`SummaryBackend`] through
+/// [`AsMixture`].
 #[derive(Debug, Clone)]
-pub struct ShardedSummary {
+pub struct Mixture<P: ShardProbe> {
     schema: Schema,
-    shards: Vec<MaxEntSummary>,
-    n: u64,
-    /// `n_s / n` per shard (mixture weights; all 1.0-free arithmetic is
-    /// arranged so the 1-shard case stays bitwise exact).
-    weights: Vec<f64>,
-    scratch: ScratchPool<ShardedScratch>,
-    /// Optional gather-side answer cache (see [`ShardedSummary::with_probe_cache`]).
+    domain_sizes: Vec<usize>,
+    /// The children, in shard order. Shared so that a background thread
+    /// (the remote re-handshake) and operators ([`Mixture::shard_set`])
+    /// can watch them while the mixture serves.
+    shards: Arc<Vec<P>>,
+    scratch: ScratchPool<Vec<P::Scratch>>,
+    /// Optional gather-side answer cache (see [`Mixture::with_probe_cache`]).
     cache: Option<Arc<GatherCache>>,
 }
 
@@ -150,75 +182,15 @@ impl ShardedSummary {
             return Err(ModelError::ShapeMismatch);
         };
         let schema = first.schema().clone();
-        for s in &shards[1..] {
-            if s.schema() != &schema {
-                return Err(ModelError::ShapeMismatch);
-            }
+        if shards[1..].iter().any(|s| s.schema() != &schema) {
+            return Err(ModelError::ShapeMismatch);
         }
-        let n: u64 = shards.iter().map(MaxEntSummary::n).sum();
-        if n == 0 {
+        if shards.iter().all(|s| s.n() == 0) {
             return Err(ModelError::NumericalFailure(
                 "cannot summarize an empty relation",
             ));
         }
-        let weights = shards.iter().map(|s| s.n() as f64 / n as f64).collect();
-        Ok(ShardedSummary {
-            schema,
-            shards,
-            n,
-            weights,
-            scratch: ScratchPool::new(),
-            cache: None,
-        })
-    }
-
-    /// Puts a gather-side answer cache (bounded to `entries` responses)
-    /// in front of the shard models: repeated probes are answered from
-    /// the cache, concurrent identical probes coalesce, and fully-cached
-    /// queries skip the fan-out pool entirely. Answers stay
-    /// bitwise-identical to the uncached paths — cached entries are the
-    /// shards' own responses and every merge fold is shared.
-    pub fn with_probe_cache(mut self, entries: usize) -> Self {
-        let ids = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                ShardCacheId::new(crate::scatter::shard_identity_token(i, s.n(), &self.schema))
-            })
-            .collect();
-        self.cache = Some(Arc::new(GatherCache::new(entries, ids)));
-        self
-    }
-
-    /// Like [`ShardedSummary::with_probe_cache`], but every shard's cache
-    /// identity carries the shared `generation` counter: bumping it (as
-    /// [`LiveSummary`](crate::ingest::LiveSummary) does on every delta
-    /// fold) instantly orphans all cached entries, so a mutable mixture
-    /// can reuse the gather cache without ever serving stale answers.
-    pub fn with_probe_cache_generation(
-        mut self,
-        entries: usize,
-        generation: Arc<std::sync::atomic::AtomicU64>,
-    ) -> Self {
-        let ids = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                ShardCacheId::with_generation(
-                    crate::scatter::shard_identity_token(i, s.n(), &self.schema),
-                    Arc::clone(&generation),
-                )
-            })
-            .collect();
-        self.cache = Some(Arc::new(GatherCache::new(entries, ids)));
-        self
-    }
-
-    /// The gather-side cache, when one is enabled.
-    pub fn probe_cache(&self) -> Option<&Arc<GatherCache>> {
-        self.cache.as_ref()
+        Mixture::new(schema, shards)
     }
 
     /// Decomposes the mixture back into its per-shard models, in shard
@@ -226,12 +198,64 @@ impl ShardedSummary {
     /// streaming-ingest layer to seed a live summary's sealed-segment list
     /// from a fitted base mixture.
     pub fn into_shards(self) -> Vec<MaxEntSummary> {
-        self.shards
+        Arc::try_unwrap(self.shards).unwrap_or_else(|shared| shared.to_vec())
+    }
+}
+
+impl<P: ShardProbe> Mixture<P> {
+    /// A mixture over `shards`, which must all serve `schema`.
+    pub fn new(schema: Schema, shards: Vec<P>) -> Result<Self> {
+        if shards.is_empty() {
+            return Err(ModelError::ShapeMismatch);
+        }
+        Ok(Mixture {
+            domain_sizes: schema.domain_sizes(),
+            schema,
+            shards: Arc::new(shards),
+            scratch: ScratchPool::new(),
+            cache: None,
+        })
     }
 
-    /// Total relation cardinality `n` (sum of shard cardinalities).
+    /// Puts a gather-side answer cache (bounded to `entries` responses) in
+    /// front of the shards: repeated probes are answered from the cache,
+    /// concurrent identical probes coalesce, and fully-cached queries skip
+    /// the fan-out pool entirely. Each shard's keys carry its
+    /// [`ShardProbe::cache_generation`], so a shard that reports changed
+    /// answers (a swapped remote blob, a live node's fold) orphans its
+    /// cached entries at once. Answers stay bitwise-identical to the
+    /// uncached paths.
+    pub fn with_probe_cache(mut self, entries: usize) -> Self {
+        self.enable_probe_cache(entries);
+        self
+    }
+
+    /// In-place form of [`Mixture::with_probe_cache`].
+    pub fn enable_probe_cache(&mut self, entries: usize) {
+        let ids = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                let base = scatter::shard_identity_token(i, shard.shard_n(), &self.schema);
+                match shard.cache_generation() {
+                    Some(generation) => ShardCacheId::with_generation(base, generation),
+                    None => ShardCacheId::new(base),
+                }
+            })
+            .collect();
+        self.cache = Some(Arc::new(GatherCache::new(entries, ids)));
+    }
+
+    /// The gather-side cache, when one is enabled.
+    pub fn probe_cache(&self) -> Option<&Arc<GatherCache>> {
+        self.cache.as_ref()
+    }
+
+    /// Total relation cardinality `n`: the sum of the children's current
+    /// cardinalities.
     pub fn n(&self) -> u64 {
-        self.n
+        self.shards.iter().map(P::shard_n).sum()
     }
 
     /// The summarized relation's schema.
@@ -239,9 +263,14 @@ impl ShardedSummary {
         &self.schema
     }
 
-    /// The per-shard models, in shard order.
-    pub fn shards(&self) -> &[MaxEntSummary] {
+    /// The children, in shard order.
+    pub fn shards(&self) -> &[P] {
         &self.shards
+    }
+
+    /// A shareable handle to the children.
+    pub fn shard_set(&self) -> Arc<Vec<P>> {
+        Arc::clone(&self.shards)
     }
 
     /// Number of shards.
@@ -314,6 +343,51 @@ impl ShardedSummary {
     pub fn sample_rows(&self, k: usize, seed: u64) -> Result<Table> {
         ir::sample_rows(self, &self.scratch, k, seed)
     }
+
+    // ---- Gather: per-shard answers in shard order ----
+
+    /// The mixture weights `n_s / n`, from the children's current
+    /// cardinalities.
+    fn weights(&self) -> Vec<f64> {
+        let n = self.n();
+        self.shards
+            .iter()
+            .map(|s| s.shard_n() as f64 / n as f64)
+            .collect()
+    }
+
+    /// Every shard's answer to `probe`, in shard order, fanned out on the
+    /// worker pool — behind the gather cache when one is on.
+    fn fan<R: Send>(
+        &self,
+        scratch: &mut [P::Scratch],
+        probe: impl Fn(&dyn ShardProbe<Scratch = P::Scratch>, &mut P::Scratch) -> Result<R> + Sync,
+    ) -> Result<Vec<R>> {
+        let answers = match &self.cache {
+            Some(cache) => {
+                scatter::fan_out(&cache.probes(&self.shards), scratch, |_, p, s| probe(p, s))
+            }
+            None => scatter::fan_out(&self.shards[..], scratch, |_, p, s| probe(p, s)),
+        };
+        answers.into_iter().collect()
+    }
+
+    /// [`Mixture::fan`] for a probe with a cache key: when every shard's
+    /// answer is cached it is read on the calling thread, without the pool.
+    fn peek_or_fan<R: Send>(
+        &self,
+        scratch: &mut [P::Scratch],
+        body: impl FnOnce() -> ProbeKeyBody,
+        extract: fn(&ProbeResponse) -> Result<R>,
+        probe: impl Fn(&dyn ShardProbe<Scratch = P::Scratch>, &mut P::Scratch) -> Result<R> + Sync,
+    ) -> Result<Vec<R>> {
+        if let Some(cache) = &self.cache {
+            if let Some(answers) = cache.peek_all(&body(), extract) {
+                return Ok(answers);
+            }
+        }
+        self.fan(scratch, probe)
+    }
 }
 
 /// The multi statistics of `multi` that have 1D support in `table` on every
@@ -343,83 +417,190 @@ pub(crate) fn stats_with_support(
         .collect())
 }
 
-impl SummaryBackend for ShardedSummary {
-    type Scratch = ShardedScratch;
-    /// Shard assignment per global tuple index (contiguous by shard, sized
-    /// by largest-remainder apportionment of the shard cardinalities).
-    type SamplePlan = Vec<u32>;
+// ---- The shard-order folds (a single shard's answer passes unchanged) ----
+
+fn add_estimates(a: Estimate, b: Estimate) -> Estimate {
+    Estimate::new(a.expectation + b.expectation, a.variance + b.variance)
+}
+
+/// COUNT / SUM: expectations and variances add, in shard order.
+fn sum_estimates(per_shard: impl IntoIterator<Item = Estimate>) -> Estimate {
+    per_shard
+        .into_iter()
+        .reduce(add_estimates)
+        .expect("at least one shard")
+}
+
+/// Probability: `Σ (n_s / n) · p_s` in shard order, clamped into `[0, 1]`.
+fn mix(weights: &[f64], per_shard: impl IntoIterator<Item = f64>) -> f64 {
+    weights
+        .iter()
+        .zip(per_shard)
+        .fold(0.0, |acc, (&w, p)| acc + w * p)
+        .clamp(0.0, 1.0)
+}
+
+fn mismatch(what: &str) -> ModelError {
+    ModelError::Remote(RemoteDetail::message(format!(
+        "shards answered mismatched {what}"
+    )))
+}
+
+/// Group-by: value-aligned cells add position-wise; every shard must
+/// answer the same number of cells.
+fn merge_cells(per_shard: Vec<Vec<Estimate>>) -> Result<Vec<Estimate>> {
+    let len = per_shard.first().map_or(0, Vec::len);
+    if per_shard.iter().any(|cells| cells.len() != len) {
+        return Err(mismatch("group-by shapes"));
+    }
+    Ok(per_shard
+        .into_iter()
+        .reduce(|mut acc, cells| {
+            for (a, b) in acc.iter_mut().zip(cells) {
+                *a = add_estimates(*a, b);
+            }
+            acc
+        })
+        .expect("at least one shard"))
+}
+
+/// Batched answers: every shard must answer one value per mask.
+fn check_batch<T>(per_shard: &[Vec<T>], masks: usize) -> Result<()> {
+    if per_shard.iter().any(|answers| answers.len() != masks) {
+        return Err(mismatch("batch shapes"));
+    }
+    Ok(())
+}
+
+/// A backend whose queries a [`Mixture`] answers. The one blanket
+/// [`SummaryBackend`] impl below serves every implementor from its
+/// mixture; an implementor adds only what is not a query: the ingest
+/// hooks, which default to an immutable backend.
+pub trait AsMixture: Send + Sync {
+    /// The mixture's child type.
+    type Probe: ShardProbe;
+
+    /// The mixture answering this backend's queries.
+    fn mixture(&self) -> &Mixture<Self::Probe>;
+
+    /// See [`SummaryBackend::epoch`].
+    fn epoch(&self) -> u64 {
+        0
+    }
+
+    /// See [`SummaryBackend::append_rows`].
+    fn append_rows(&self, rows: &[Vec<u32>], token: Option<&str>) -> Result<AppendOutcome> {
+        let _ = (rows, token);
+        Err(ModelError::Immutable)
+    }
+
+    /// See [`SummaryBackend::ingest_stats`].
+    fn ingest_stats(&self) -> Option<IngestStatsSnapshot> {
+        None
+    }
+}
+
+impl<P: ShardProbe> AsMixture for Mixture<P> {
+    type Probe = P;
+
+    fn mixture(&self) -> &Mixture<P> {
+        self
+    }
+}
+
+/// The per-call sampling plan of a mixture: the stratified shard
+/// assignment plus each shard's stratum, drawn lazily on first touch by
+/// one [`ShardProbe::probe_sample_at`] call. A full `sample_rows` draw
+/// costs one probe per contributing shard, while a sparse `SampleAt` probe
+/// served by a gateway fetches only the strata it reads — a few-byte probe
+/// line can never demand the whole `k`-row draw.
+#[derive(Debug)]
+pub struct MixtureSamplePlan {
+    k: usize,
+    seed: u64,
+    /// Shard per global tuple index.
+    assignment: Vec<u32>,
+    /// Ascending global indices per shard; positions align with the
+    /// stratum rows.
+    index_lists: Vec<Vec<u64>>,
+    /// Drawn rows per shard, filled on first touch.
+    strata: Vec<Mutex<Option<Vec<Vec<u32>>>>>,
+}
+
+impl<T: AsMixture> SummaryBackend for T {
+    type Scratch = Vec<<T::Probe as ShardProbe>::Scratch>;
+    type SamplePlan = MixtureSamplePlan;
 
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.mixture().schema
     }
 
     fn n(&self) -> u64 {
-        self.n
+        self.mixture().n()
     }
 
     fn domain_sizes(&self) -> &[usize] {
-        self.shards[0].statistics().domain_sizes()
+        &self.mixture().domain_sizes
     }
 
-    fn make_scratch(&self) -> ShardedScratch {
-        self.shards
+    fn make_scratch(&self) -> Self::Scratch {
+        self.mixture()
+            .shards
             .iter()
-            .map(SummaryBackend::make_scratch)
+            .map(ShardProbe::make_probe_scratch)
             .collect()
     }
 
-    /// Mixture probability `Σ (n_s / n) · p_s`, clamped into `[0, 1]`
-    /// (merged by the shared [`scatter`] layer). With a probe cache, a
-    /// fully-cached mask is folded serially without entering the pool;
-    /// otherwise the shards run behind [`scatter::CachedProbe`].
-    fn probability_under_mask(&self, mask: &Mask, scratch: &mut ShardedScratch) -> Result<f64> {
-        let Some(cache) = &self.cache else {
-            return scatter::mixture_probability(&self.shards, &self.weights, mask, scratch);
-        };
-        if let Some(p) = cache.peek_probability(mask, &self.weights) {
-            return Ok(p);
-        }
-        scatter::mixture_probability(&cache.probes(&self.shards), &self.weights, mask, scratch)
+    fn probability_under_mask(&self, mask: &Mask, scratch: &mut Self::Scratch) -> Result<f64> {
+        let m = self.mixture();
+        let ps = m.peek_or_fan(
+            scratch,
+            || ProbeKeyBody::probability(mask),
+            scatter::as_probability,
+            |p, s| p.probe_probability(mask, s),
+        )?;
+        Ok(mix(&m.weights(), ps))
     }
 
-    fn count_under_mask(&self, mask: &Mask, scratch: &mut ShardedScratch) -> Result<Estimate> {
-        let Some(cache) = &self.cache else {
-            return scatter::merged_count(&self.shards, mask, scratch);
-        };
-        if let Some(count) = cache.peek_count(mask) {
-            return Ok(count);
-        }
-        scatter::merged_count(&cache.probes(&self.shards), mask, scratch)
+    fn count_under_mask(&self, mask: &Mask, scratch: &mut Self::Scratch) -> Result<Estimate> {
+        let counts = self.mixture().peek_or_fan(
+            scratch,
+            || ProbeKeyBody::count(mask),
+            scatter::as_estimate,
+            |p, s| p.probe_count(mask, s),
+        )?;
+        Ok(sum_estimates(counts))
     }
 
-    /// Batched mixture probability: every shard answers the whole mask
-    /// batch through its fused kernel, then each mask gets the standard
-    /// shard-order mixture fold — bitwise-identical to the per-mask loop.
+    /// Every shard answers the whole batch in one batched probe (the fused
+    /// kernel in-process, a few pipelined lines remotely), then each mask
+    /// gets the standard fold — bitwise-identical to the per-mask loop.
     fn probabilities_under_masks(
         &self,
         masks: &[Mask],
-        scratch: &mut ShardedScratch,
+        scratch: &mut Self::Scratch,
     ) -> Result<Vec<f64>> {
-        match &self.cache {
-            Some(cache) => scatter::mixture_probability_many(
-                &cache.probes(&self.shards),
-                &self.weights,
-                masks,
-                scratch,
-            ),
-            None => scatter::mixture_probability_many(&self.shards, &self.weights, masks, scratch),
-        }
+        let m = self.mixture();
+        let per_shard = m.fan(scratch, |p, s| p.probe_probability_many(masks, s))?;
+        check_batch(&per_shard, masks.len())?;
+        let weights = m.weights();
+        Ok((0..masks.len())
+            .map(|i| mix(&weights, per_shard.iter().map(|ps| ps[i])))
+            .collect())
     }
 
     fn counts_under_masks(
         &self,
         masks: &[Mask],
-        scratch: &mut ShardedScratch,
+        scratch: &mut Self::Scratch,
     ) -> Result<Vec<Estimate>> {
-        match &self.cache {
-            Some(cache) => scatter::merged_count_many(&cache.probes(&self.shards), masks, scratch),
-            None => scatter::merged_count_many(&self.shards, masks, scratch),
-        }
+        let per_shard = self
+            .mixture()
+            .fan(scratch, |p, s| p.probe_count_many(masks, s))?;
+        check_batch(&per_shard, masks.len())?;
+        Ok((0..masks.len())
+            .map(|i| sum_estimates(per_shard.iter().map(|es| es[i])))
+            .collect())
     }
 
     fn sum_under_mask(
@@ -427,74 +608,140 @@ impl SummaryBackend for ShardedSummary {
         base: &Mask,
         attr: AttrId,
         values: &[f64],
-        scratch: &mut ShardedScratch,
+        scratch: &mut Self::Scratch,
     ) -> Result<Estimate> {
-        let Some(cache) = &self.cache else {
-            return scatter::merged_sum(&self.shards, base, attr, values, scratch);
-        };
-        if let Some(sum) = cache.peek_sum(base, attr, values) {
-            return Ok(sum);
-        }
-        scatter::merged_sum(&cache.probes(&self.shards), base, attr, values, scratch)
+        let sums = self.mixture().peek_or_fan(
+            scratch,
+            || ProbeKeyBody::sum(base, attr, values),
+            scatter::as_estimate,
+            |p, s| p.probe_sum(base, attr, values, s),
+        )?;
+        Ok(sum_estimates(sums))
     }
 
     fn group_by_under_mask(
         &self,
         mask: &Mask,
         attr: AttrId,
-        scratch: &mut ShardedScratch,
+        scratch: &mut Self::Scratch,
     ) -> Result<Vec<Estimate>> {
-        let Some(cache) = &self.cache else {
-            return scatter::merged_group_by(&self.shards, mask, attr, scratch);
-        };
-        if let Some(cells) = cache.peek_group_by(mask, attr) {
-            return Ok(cells);
-        }
-        scatter::merged_group_by(&cache.probes(&self.shards), mask, attr, scratch)
+        let per_shard = self.mixture().peek_or_fan(
+            scratch,
+            || ProbeKeyBody::group_by(mask, attr),
+            scatter::as_groups,
+            |p, s| p.probe_group_by(mask, attr, s),
+        )?;
+        merge_cells(per_shard)
     }
 
-    /// Per-shard candidates + exact cross-shard re-probe, via the shared
-    /// [`scatter::merged_top_k`] driver (one shard falls back to the exact
-    /// full-ranking path, preserving bitwise parity with the monolithic
-    /// model).
+    /// One shard ranks its full group-by (bitwise parity with the
+    /// monolithic model). Several shards each nominate their local top-`k`;
+    /// the union of candidates is re-scored against *all* shards (one
+    /// batched [`ShardProbe::probe_count_restricted`] per shard) before the
+    /// final ranking, so a value popular overall but below `k` somewhere is
+    /// still ranked correctly.
     fn top_k_under_mask(
         &self,
         mask: &Mask,
         attr: AttrId,
         k: usize,
-        scratch: &mut ShardedScratch,
+        scratch: &mut Self::Scratch,
     ) -> Result<Vec<(u32, Estimate)>> {
-        let n_attr = self.domain_sizes()[attr.0];
-        match &self.cache {
-            Some(cache) => {
-                scatter::merged_top_k(&cache.probes(&self.shards), mask, attr, k, n_attr, scratch)
-            }
-            None => scatter::merged_top_k(&self.shards, mask, attr, k, n_attr, scratch),
+        let m = self.mixture();
+        if m.shards.len() == 1 {
+            return Ok(rank_top_k(
+                self.group_by_under_mask(mask, attr, scratch)?,
+                k,
+            ));
         }
+        let nominated = m.fan(scratch, |p, s| p.probe_top_k(mask, attr, k, s))?;
+        let mut candidates: Vec<u32> = nominated.into_iter().flatten().map(|(v, _)| v).collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        let n_attr = m.domain_sizes[attr.0];
+        let per_shard = m.fan(scratch, |p, s| {
+            p.probe_count_restricted(mask, attr, &candidates, n_attr, s)
+        })?;
+        let merged = merge_cells(per_shard)?;
+        if merged.len() != candidates.len() {
+            return Err(mismatch("candidate counts"));
+        }
+        Ok(rank_candidates(
+            candidates.into_iter().zip(merged).collect(),
+            k,
+        ))
     }
 
-    fn plan_samples(&self, k: usize, _seed: u64) -> Result<Vec<u32>> {
-        let ns: Vec<u64> = self.shards.iter().map(MaxEntSummary::n).collect();
-        Ok(scatter::sample_assignment(&ns, k))
+    /// The stratified shard assignment; no shard is probed until
+    /// [`SummaryBackend::sample_tuple`] touches its stratum.
+    fn plan_samples(&self, k: usize, seed: u64) -> Result<MixtureSamplePlan> {
+        let shards = &self.mixture().shards;
+        let ns: Vec<u64> = shards.iter().map(ShardProbe::shard_n).collect();
+        let assignment = scatter::sample_assignment(&ns, k);
+        Ok(MixtureSamplePlan {
+            k,
+            seed,
+            index_lists: scatter::shard_index_lists(&assignment, shards.len()),
+            assignment,
+            strata: shards.iter().map(|_| Mutex::new(None)).collect(),
+        })
     }
 
-    /// Tuple `index` draws from its stratum's shard model, using the same
-    /// `(seed, global index)`-derived SplitMix64 stream every backend uses —
-    /// so a 1-shard summary samples bit-identical rows to the monolithic
-    /// model, and adding shards never perturbs another tuple's stream.
+    /// Copies tuple `index` out of its shard's stratum, drawing the stratum
+    /// on first touch. Shards key every tuple's stream on `(seed, global
+    /// index)`, so a 1-shard mixture samples bit-identical rows to the
+    /// monolithic model, and adding shards never perturbs another tuple's
+    /// stream.
     fn sample_tuple(
         &self,
-        plan: &Vec<u32>,
+        plan: &MixtureSamplePlan,
         index: usize,
-        seed: u64,
+        _seed: u64,
         row: &mut [u32],
-        scratch: &mut ShardedScratch,
+        scratch: &mut Self::Scratch,
     ) -> Result<()> {
-        let shard = plan[index] as usize;
-        self.shards[shard].sample_tuple(&(), index, seed, row, &mut scratch[shard])
+        let shard = *plan
+            .assignment
+            .get(index)
+            .ok_or(ModelError::ShapeMismatch)? as usize;
+        let indices = &plan.index_lists[shard];
+        // Index lists are built in ascending global order, so the row's
+        // position within the stratum is found by binary search.
+        let pos = indices
+            .binary_search(&(index as u64))
+            .map_err(|_| ModelError::ShapeMismatch)?;
+        let mut stratum = plan.strata[shard].lock().expect("sample stratum lock");
+        if stratum.is_none() {
+            let rows = self.mixture().shards[shard].probe_sample_at(
+                plan.k,
+                plan.seed,
+                indices,
+                &mut scratch[shard],
+            )?;
+            if rows.len() != indices.len() || rows.iter().any(|r| r.len() != row.len()) {
+                return Err(ModelError::Remote(RemoteDetail::message(format!(
+                    "shard {shard} answered a stratum of the wrong shape"
+                ))));
+            }
+            *stratum = Some(rows);
+        }
+        row.copy_from_slice(&stratum.as_ref().expect("stratum drawn")[pos]);
+        Ok(())
     }
 
-    fn cache_stats(&self) -> Option<crate::metrics::CacheStatsSnapshot> {
-        self.cache.as_ref().map(|cache| cache.snapshot())
+    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
+        self.mixture().cache.as_ref().map(|cache| cache.snapshot())
+    }
+
+    fn epoch(&self) -> u64 {
+        AsMixture::epoch(self)
+    }
+
+    fn append_rows(&self, rows: &[Vec<u32>], token: Option<&str>) -> Result<AppendOutcome> {
+        AsMixture::append_rows(self, rows, token)
+    }
+
+    fn ingest_stats(&self) -> Option<IngestStatsSnapshot> {
+        AsMixture::ingest_stats(self)
     }
 }

@@ -17,16 +17,35 @@ use entropydb_core::prelude::*;
 use entropydb_core::statistics::RangeClause;
 use entropydb_storage::{AttrId, Predicate};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// System allocator wrapper counting every allocation and reallocation.
+/// System allocator wrapper counting every allocation and reallocation
+/// made by a thread while it is inside [`allocations_during`].
+///
+/// The count is per thread: the harness runs tests in parallel, and even a
+/// test run alone shares the process with the harness thread that spawned
+/// it, so a process-global count picks up allocations that are not the
+/// audited kernel's. The audited passes run on the calling thread (see the
+/// module docs), so every allocation they make is counted.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// `Some(count)` while this thread is inside an audited window.
+    static WINDOW: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs during thread teardown.
+    let _ = WINDOW.try_with(|w| {
+        if let Some(n) = w.get() {
+            w.set(Some(n + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -43,10 +62,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
+/// Allocations this thread makes while running `f`.
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    WINDOW.with(|w| w.set(Some(0)));
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    WINDOW.with(|w| w.replace(None)).expect("window open")
 }
 
 fn model() -> (Vec<usize>, Vec<MultiDimStatistic>, VarAssignment, Mask) {
@@ -253,4 +273,14 @@ fn wrappers_agree_with_scratch_kernels() {
         assert_eq!(p1.to_bits(), p2.to_bits());
         assert_eq!(d1.as_slice(), d2);
     }
+}
+
+/// The audit's control: an allocation inside the window is counted, one
+/// outside it is not.
+#[test]
+fn counter_sees_allocations_in_the_window() {
+    let outside = std::hint::black_box(vec![0u8; 16]);
+    let inside = allocations_during(|| drop(std::hint::black_box(vec![0u8; 16])));
+    assert_eq!(inside, 1);
+    drop(outside);
 }

@@ -608,3 +608,52 @@ fn immutable_backends_reject_appends() {
     assert!(engine.ingest_stats().is_none());
     assert_eq!(engine.epoch(), 0);
 }
+
+/// Every fold publishes a mixture with a fresh probe cache; the reported
+/// cache counters still carry the retired caches' totals, so they never
+/// decrease across `flush()`.
+#[test]
+fn cache_stats_stay_monotonic_across_folds() {
+    let t = fixture_table(0xCAFE, 200);
+    let config = IngestConfig::builder()
+        .delta_rows(1 << 20)
+        .seal_rows(1 << 20)
+        .background(false)
+        .probe_cache_entries(64)
+        .build()
+        .unwrap();
+    let live = LiveSummary::new(
+        build_base(&t, 2),
+        fixture_stats(),
+        SolverConfig::default(),
+        config,
+    )
+    .unwrap();
+    let engine = QueryEngine::new(live);
+    let preds = [Predicate::all(), Predicate::new().eq(a(0), 1)];
+    let mut last = engine.cache_stats().expect("probe cache enabled");
+    for round in 0..3u64 {
+        for pred in preds.iter().chain(&preds) {
+            engine.estimate_count(pred).unwrap();
+        }
+        let queried = engine.cache_stats().unwrap();
+        assert!(queried.hits > last.hits && queried.misses > last.misses);
+        engine
+            .append_rows(&delta_batch(0xD00D + round, 20), None)
+            .unwrap();
+        engine.backend().flush().unwrap();
+        let folded = engine.cache_stats().unwrap();
+        for (what, before, after) in [
+            ("hits", queried.hits, folded.hits),
+            ("misses", queried.misses, folded.misses),
+            ("coalesced", queried.coalesced, folded.coalesced),
+            ("evicted", queried.evicted, folded.evicted),
+        ] {
+            assert!(
+                after >= before,
+                "round {round}: {what} fell {before} -> {after}"
+            );
+        }
+        last = folded;
+    }
+}

@@ -46,8 +46,8 @@
 //! (`b1 ...` / `c1 ...` lines, `entropydb_core::probe`) — the fan-out
 //! primitive of [`RemoteShardedSummary`], the scatter/gather backend that
 //! places each shard of a sharded summary on its own `entropydb-serve`
-//! node and merges wire responses with the same merge layer the local
-//! sharded backend uses (bitwise-identical answers). A gateway can put a
+//! node and merges wire responses with the same generic mixture the local
+//! sharded backend is (bitwise-identical answers). A gateway can put a
 //! gather-side answer cache in front of the fan-out
 //! ([`RemoteShardedSummary::enable_probe_cache`]): repeats skip the wire,
 //! concurrent identical probes coalesce into one round trip, and the
@@ -92,7 +92,9 @@ pub use protocol::{
     encode_append_outcome, encode_ingest_stats, encode_server_stats, MAX_APPEND_ROWS, MAX_BATCH,
     MAX_SAMPLE_ROWS,
 };
-pub use remote::{FailoverConfig, FailoverConfigBuilder, RemoteShard, RemoteShardedSummary, Replica};
+pub use remote::{
+    FailoverConfig, FailoverConfigBuilder, RemoteShard, RemoteShardedSummary, Replica,
+};
 pub use server::{
     serve, serve_threaded, serve_tuned, serve_with, ReactorConfig, ReactorConfigBuilder,
     ServerConfig, ServerConfigBuilder, ServerHandle,

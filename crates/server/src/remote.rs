@@ -1,19 +1,20 @@
 //! Shard-per-node placement: [`RemoteShardedSummary`], a
-//! [`SummaryBackend`] whose per-shard fan-out goes over the wire.
+//! [`SummaryBackend`](entropydb_core::engine::SummaryBackend) whose
+//! per-shard fan-out goes over the wire.
 //!
-//! A [`ShardedSummary`](entropydb_core::sharded::ShardedSummary) fans
-//! queries out across in-process shard models through the
-//! shard-source-agnostic merge layer (`entropydb_core::scatter`).
-//! [`RemoteShardedSummary`] keeps the *merge side of that layer unchanged*
-//! and swaps the probe side: each shard is an `entropydb-serve` instance
-//! reached over TCP, addressed by a cluster manifest
-//! ([`ClusterShard`]), and every per-shard primitive becomes a mask-level
-//! probe line (`entropydb_core::probe`). Because the gatherer's merge
-//! arithmetic, stratified sampling streams, and candidate re-probe logic
-//! are the very same code paths the local backend runs — and because the
-//! probe wire encoding round-trips floats bit-exactly — remote answers are
-//! **bitwise identical** to a local `ShardedSummary` over the same shard
-//! models, on every `QueryRequest` variant.
+//! Each shard is an `entropydb-serve` instance reached over TCP, addressed
+//! by a cluster manifest ([`ClusterShard`]): a [`RemoteShard`] is a
+//! [`ShardProbe`] that turns every per-shard primitive into a mask-level
+//! probe line (`entropydb_core::probe`). The query path is not written
+//! here at all: [`RemoteShardedSummary`] holds a
+//! [`Mixture`]`<RemoteShard>` and gets its query path from it through
+//! [`AsMixture`], so its merge arithmetic, gather cache, stratified
+//! sampling, and candidate re-probe are the very code a local
+//! `ShardedSummary` runs. Because the probe wire encoding round-trips
+//! floats bit-exactly, remote answers are **bitwise identical** to a
+//! local `ShardedSummary` over the same shard models, on every
+//! `QueryRequest` variant. This module adds what is remote-specific:
+//! connect, failover, the background re-handshake, and append routing.
 //!
 //! # Fault tolerance
 //!
@@ -55,13 +56,14 @@
 
 use crate::client::{generate_append_token, Client, ClientConfig, ClientError};
 use entropydb_core::assignment::Mask;
-use entropydb_core::engine::{AppendOutcome, SummaryBackend};
+use entropydb_core::engine::AppendOutcome;
 use entropydb_core::error::{ModelError, RemoteDetail, Result};
-use entropydb_core::metrics::{CacheStatsSnapshot, IngestStatsSnapshot};
+use entropydb_core::metrics::IngestStatsSnapshot;
 use entropydb_core::probe::{ProbeRequest, ProbeResponse};
 use entropydb_core::query::Estimate;
-use entropydb_core::scatter::{self, GatherCache, ShardCacheId, ShardProbe};
+use entropydb_core::scatter::{GatherCache, ShardProbe};
 use entropydb_core::serialize::ClusterShard;
+use entropydb_core::sharded::{AsMixture, Mixture};
 use entropydb_storage::{AttrId, Schema};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -676,6 +678,34 @@ impl RemoteShard {
         self.with_conn(|client| client.probe(probe))
     }
 
+    /// One pipelined round of `probes`: the unpacked payloads, in order,
+    /// which must add up to `expected` items (`what` names them for the
+    /// error, e.g. "estimates for {expected} masks").
+    fn pipelined<T>(
+        &self,
+        probes: &[ProbeRequest],
+        expected: usize,
+        what: (&str, &str),
+        unpack: impl Fn(ProbeResponse) -> std::result::Result<Vec<T>, ProbeResponse>,
+    ) -> Result<Vec<T>> {
+        if expected == 0 {
+            return Ok(Vec::new());
+        }
+        let responses = self.with_conn(|client| client.probe_pipelined(probes))?;
+        let mut out = Vec::with_capacity(expected);
+        for resp in responses {
+            out.extend(unpack(resp).map_err(|other| self.shape_error(&other))?);
+        }
+        if out.len() != expected {
+            let (items, per) = what;
+            return Err(self.named(format!(
+                "answered {} {items} for {expected} {per}",
+                out.len()
+            )));
+        }
+        Ok(out)
+    }
+
     fn shape_error(&self, got: &ProbeResponse) -> ModelError {
         self.named(format!(
             "unexpected probe response shape: {}",
@@ -718,6 +748,12 @@ impl ShardProbe for RemoteShard {
 
     fn make_probe_scratch(&self) {}
 
+    /// The blob generation: bumped by wrong-blob evictions, observed epoch
+    /// changes, and a dynamic shard's cardinality changes.
+    fn cache_generation(&self) -> Option<Arc<AtomicU64>> {
+        Some(Arc::clone(&self.generation))
+    }
+
     fn probe_probability(&self, mask: &Mask, _s: &mut ()) -> Result<f64> {
         match self.call(&ProbeRequest::Probability { mask: mask.clone() })? {
             ProbeResponse::Probability(p) => Ok(p),
@@ -737,61 +773,33 @@ impl ShardProbe for RemoteShard {
     /// answers each chunk through its fused kernel — bitwise-identical to
     /// one `prob` probe per mask, at a fraction of the wire rounds.
     fn probe_probability_many(&self, masks: &[Mask], _s: &mut ()) -> Result<Vec<f64>> {
-        if masks.is_empty() {
-            return Ok(Vec::new());
-        }
         let probes: Vec<ProbeRequest> = masks
             .chunks(PROBE_MASK_CHUNK)
             .map(|chunk| ProbeRequest::ProbabilityMany {
                 masks: chunk.to_vec(),
             })
             .collect();
-        let responses = self.with_conn(|client| client.probe_pipelined(&probes))?;
-        let mut out = Vec::with_capacity(masks.len());
-        for resp in responses {
-            match resp {
-                ProbeResponse::Probabilities(ps) => out.extend(ps),
-                other => return Err(self.shape_error(&other)),
-            }
-        }
-        if out.len() != masks.len() {
-            return Err(self.named(format!(
-                "answered {} probabilities for {} masks",
-                out.len(),
-                masks.len()
-            )));
-        }
-        Ok(out)
+        self.pipelined(
+            &probes,
+            masks.len(),
+            ("probabilities", "masks"),
+            |resp| match resp {
+                ProbeResponse::Probabilities(ps) => Ok(ps),
+                other => Err(other),
+            },
+        )
     }
 
     /// The fused-batch COUNT probe (`countm` lines); same contract as
     /// [`RemoteShard::probe_probability_many`].
     fn probe_count_many(&self, masks: &[Mask], _s: &mut ()) -> Result<Vec<Estimate>> {
-        if masks.is_empty() {
-            return Ok(Vec::new());
-        }
         let probes: Vec<ProbeRequest> = masks
             .chunks(PROBE_MASK_CHUNK)
             .map(|chunk| ProbeRequest::CountMany {
                 masks: chunk.to_vec(),
             })
             .collect();
-        let responses = self.with_conn(|client| client.probe_pipelined(&probes))?;
-        let mut out = Vec::with_capacity(masks.len());
-        for resp in responses {
-            match resp {
-                ProbeResponse::Estimates(list) => out.extend(list),
-                other => return Err(self.shape_error(&other)),
-            }
-        }
-        if out.len() != masks.len() {
-            return Err(self.named(format!(
-                "answered {} estimates for {} masks",
-                out.len(),
-                masks.len()
-            )));
-        }
-        Ok(out)
+        self.pipelined(&probes, masks.len(), ("estimates", "masks"), estimates)
     }
 
     /// The compact top-k re-probe: one base mask + the candidate list per
@@ -805,9 +813,6 @@ impl ShardProbe for RemoteShard {
         _n_attr: usize,
         _s: &mut (),
     ) -> Result<Vec<Estimate>> {
-        if values.is_empty() {
-            return Ok(Vec::new());
-        }
         let probes: Vec<ProbeRequest> = values
             .chunks(PROBE_VALUE_CHUNK)
             .map(|chunk| ProbeRequest::CountRestricted {
@@ -816,22 +821,12 @@ impl ShardProbe for RemoteShard {
                 values: chunk.to_vec(),
             })
             .collect();
-        let responses = self.with_conn(|client| client.probe_pipelined(&probes))?;
-        let mut out = Vec::with_capacity(values.len());
-        for resp in responses {
-            match resp {
-                ProbeResponse::Estimates(list) => out.extend(list),
-                other => return Err(self.shape_error(&other)),
-            }
-        }
-        if out.len() != values.len() {
-            return Err(self.named(format!(
-                "answered {} estimates for {} candidates",
-                out.len(),
-                values.len()
-            )));
-        }
-        Ok(out)
+        self.pipelined(
+            &probes,
+            values.len(),
+            ("estimates", "candidates"),
+            estimates,
+        )
     }
 
     fn probe_sum(
@@ -892,9 +887,6 @@ impl ShardProbe for RemoteShard {
         indices: &[u64],
         _s: &mut (),
     ) -> Result<Vec<Vec<u32>>> {
-        if indices.is_empty() {
-            return Ok(Vec::new());
-        }
         let probes: Vec<ProbeRequest> = indices
             .chunks(PROBE_INDEX_CHUNK)
             .map(|chunk| ProbeRequest::SampleAt {
@@ -903,22 +895,19 @@ impl ShardProbe for RemoteShard {
                 indices: chunk.to_vec(),
             })
             .collect();
-        let responses = self.with_conn(|client| client.probe_pipelined(&probes))?;
-        let mut out = Vec::with_capacity(indices.len());
-        for resp in responses {
-            match resp {
-                ProbeResponse::Rows { rows, .. } => out.extend(rows),
-                other => return Err(self.shape_error(&other)),
-            }
-        }
-        if out.len() != indices.len() {
-            return Err(self.named(format!(
-                "answered {} rows for {} requested tuples",
-                out.len(),
-                indices.len()
-            )));
-        }
-        Ok(out)
+        let what = ("rows", "requested tuples");
+        self.pipelined(&probes, indices.len(), what, |resp| match resp {
+            ProbeResponse::Rows { rows, .. } => Ok(rows),
+            other => Err(other),
+        })
+    }
+}
+
+/// Unpacks an `ests` response (batched COUNT and candidate re-probes).
+fn estimates(resp: ProbeResponse) -> std::result::Result<Vec<Estimate>, ProbeResponse> {
+    match resp {
+        ProbeResponse::Estimates(list) => Ok(list),
+        other => Err(other),
     }
 }
 
@@ -940,21 +929,15 @@ impl Drop for Rehandshake {
 }
 
 /// A sharded summary whose shards live on other nodes: the remote
-/// scatter/gather backend. See the module docs for the placement model,
-/// the bitwise-parity guarantee, and the failover semantics.
+/// scatter/gather backend. Its queries are answered by a
+/// [`Mixture`] of [`RemoteShard`] children (through [`AsMixture`]); this
+/// type adds connect, the background re-handshake, and append routing.
+/// See the module docs for the placement model, the bitwise-parity
+/// guarantee, and the failover semantics.
 #[derive(Debug)]
 pub struct RemoteShardedSummary {
-    schema: Schema,
-    domain_sizes: Vec<usize>,
-    n: u64,
-    /// `n_s / n` per shard — computed with the same arithmetic as the
-    /// local backend so mixture probabilities match bit for bit.
-    weights: Vec<f64>,
-    shards: Arc<Vec<RemoteShard>>,
+    mixture: Mixture<RemoteShard>,
     rehandshake: Option<Rehandshake>,
-    /// Optional gather-side answer cache (see
-    /// [`RemoteShardedSummary::enable_probe_cache`]).
-    cache: Option<Arc<GatherCache>>,
 }
 
 impl RemoteShardedSummary {
@@ -1032,22 +1015,14 @@ impl RemoteShardedSummary {
         for shard in &shards {
             let _ = shard.expected_schema.set(schema.clone());
         }
-        let n: u64 = shards.iter().map(RemoteShard::n).sum();
-        if n == 0 {
+        if shards.iter().all(|s| s.n() == 0) {
             return Err(ModelError::Remote(RemoteDetail::message(
                 "cluster serves an empty relation",
             )));
         }
-        let weights = shards.iter().map(|s| s.n() as f64 / n as f64).collect();
-        let domain_sizes = schema.domain_sizes();
         Ok(RemoteShardedSummary {
-            schema,
-            domain_sizes,
-            n,
-            weights,
-            shards: Arc::new(shards),
+            mixture: Mixture::new(schema, shards)?,
             rehandshake: None,
-            cache: None,
         })
     }
 
@@ -1061,7 +1036,7 @@ impl RemoteShardedSummary {
         if self.rehandshake.is_some() {
             return;
         }
-        let shards = Arc::clone(&self.shards);
+        let shards = self.mixture.shard_set();
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
@@ -1093,15 +1068,16 @@ impl RemoteShardedSummary {
         });
     }
 
-    /// Total relation cardinality `n` (sum of shard cardinalities).
+    /// Total relation cardinality `n`: the sum of the shards' current
+    /// cardinalities (a dynamic live shard's grows at each re-handshake).
     pub fn n(&self) -> u64 {
-        self.n
+        self.mixture.n()
     }
 
     /// The served relation's schema (identical on every shard, verified
     /// during the handshake).
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.mixture.schema()
     }
 
     /// Puts a gather-side answer cache (bounded to `entries` responses)
@@ -1114,43 +1090,29 @@ impl RemoteShardedSummary {
     /// answer from the old blob — a stale answer can never be served.
     /// Answers stay bitwise-identical to the uncached wire paths.
     pub fn enable_probe_cache(&mut self, entries: usize) {
-        let ids = self
-            .shards
-            .iter()
-            .map(|s| {
-                ShardCacheId::with_generation(
-                    scatter::shard_identity_token(s.index, s.n(), &self.schema),
-                    Arc::clone(&s.generation),
-                )
-            })
-            .collect();
-        self.cache = Some(Arc::new(GatherCache::new(entries, ids)));
+        self.mixture.enable_probe_cache(entries);
     }
 
     /// The gather-side cache, when one is enabled.
     pub fn probe_cache(&self) -> Option<&Arc<GatherCache>> {
-        self.cache.as_ref()
+        self.mixture.probe_cache()
     }
 
     /// The remote shards, in shard order.
     pub fn shards(&self) -> &[RemoteShard] {
-        &self.shards
+        self.mixture.shards()
     }
 
     /// A shareable handle to the shard set — the gateway's control loop
     /// keeps one to report per-replica health after [`crate::serve_with`]
     /// has consumed the summary.
     pub fn shard_set(&self) -> Arc<Vec<RemoteShard>> {
-        Arc::clone(&self.shards)
+        self.mixture.shard_set()
     }
 
     /// Number of shards in the cluster.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_ns(&self) -> Vec<u64> {
-        self.shards.iter().map(RemoteShard::n).collect()
+        self.mixture.num_shards()
     }
 
     /// The shard that owns the cluster's live delta: shard 0 by
@@ -1158,198 +1120,21 @@ impl RemoteShardedSummary {
     /// a dynamic `n = 0` manifest entry). Appends route here; the other
     /// shards stay immutable base segments.
     pub fn delta_owner(&self) -> &RemoteShard {
-        self.shards
+        self.shards()
             .first()
             .expect("manifest has at least one shard")
     }
 }
 
-impl SummaryBackend for RemoteShardedSummary {
-    /// One (empty) probe scratch per shard — remote probe state is the
-    /// connection pool, but the scatter fan-out still wants a slot each.
-    type Scratch = Vec<()>;
-    /// The stratified assignment plus lazily fetched per-shard strata —
-    /// each contributing shard costs one pipelined round, on first touch.
-    type SamplePlan = RemoteSamplePlan;
+impl AsMixture for RemoteShardedSummary {
+    type Probe = RemoteShard;
 
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn n(&self) -> u64 {
-        self.n
-    }
-
-    fn domain_sizes(&self) -> &[usize] {
-        &self.domain_sizes
-    }
-
-    fn make_scratch(&self) -> Vec<()> {
-        vec![(); self.shards.len()]
-    }
-
-    /// Mixture probability `Σ (n_s / n) · p_s`, merged by the shared
-    /// [`scatter`] layer. With a probe cache, a fully-cached mask is
-    /// folded serially without touching the wire or the fan-out pool;
-    /// otherwise the shards answer behind [`scatter::CachedProbe`], so
-    /// repeats and concurrent duplicates cost one round trip.
-    fn probability_under_mask(&self, mask: &Mask, scratch: &mut Vec<()>) -> Result<f64> {
-        let Some(cache) = &self.cache else {
-            return scatter::mixture_probability(&self.shards, &self.weights, mask, scratch);
-        };
-        if let Some(p) = cache.peek_probability(mask, &self.weights) {
-            return Ok(p);
-        }
-        scatter::mixture_probability(&cache.probes(&self.shards), &self.weights, mask, scratch)
-    }
-
-    fn count_under_mask(&self, mask: &Mask, scratch: &mut Vec<()>) -> Result<Estimate> {
-        let Some(cache) = &self.cache else {
-            return scatter::merged_count(&self.shards, mask, scratch);
-        };
-        if let Some(count) = cache.peek_count(mask) {
-            return Ok(count);
-        }
-        scatter::merged_count(&cache.probes(&self.shards), mask, scratch)
-    }
-
-    /// Batched mixture probability over the wire: every shard answers the
-    /// whole mask batch in a few pipelined lines, then the standard
-    /// shard-order mixture fold runs per mask. With a probe cache, only
-    /// the missing masks of the batch cross the wire.
-    fn probabilities_under_masks(&self, masks: &[Mask], scratch: &mut Vec<()>) -> Result<Vec<f64>> {
-        match &self.cache {
-            Some(cache) => scatter::mixture_probability_many(
-                &cache.probes(&self.shards),
-                &self.weights,
-                masks,
-                scratch,
-            ),
-            None => scatter::mixture_probability_many(&self.shards, &self.weights, masks, scratch),
-        }
-    }
-
-    fn counts_under_masks(&self, masks: &[Mask], scratch: &mut Vec<()>) -> Result<Vec<Estimate>> {
-        match &self.cache {
-            Some(cache) => scatter::merged_count_many(&cache.probes(&self.shards), masks, scratch),
-            None => scatter::merged_count_many(&self.shards, masks, scratch),
-        }
-    }
-
-    fn sum_under_mask(
-        &self,
-        base: &Mask,
-        attr: AttrId,
-        values: &[f64],
-        scratch: &mut Vec<()>,
-    ) -> Result<Estimate> {
-        let Some(cache) = &self.cache else {
-            return scatter::merged_sum(&self.shards, base, attr, values, scratch);
-        };
-        if let Some(sum) = cache.peek_sum(base, attr, values) {
-            return Ok(sum);
-        }
-        scatter::merged_sum(&cache.probes(&self.shards), base, attr, values, scratch)
-    }
-
-    fn group_by_under_mask(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        scratch: &mut Vec<()>,
-    ) -> Result<Vec<Estimate>> {
-        let Some(cache) = &self.cache else {
-            return scatter::merged_group_by(&self.shards, mask, attr, scratch);
-        };
-        if let Some(cells) = cache.peek_group_by(mask, attr) {
-            return Ok(cells);
-        }
-        scatter::merged_group_by(&cache.probes(&self.shards), mask, attr, scratch)
-    }
-
-    fn top_k_under_mask(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        k: usize,
-        scratch: &mut Vec<()>,
-    ) -> Result<Vec<(u32, Estimate)>> {
-        let n_attr = self.domain_sizes[attr.0];
-        match &self.cache {
-            Some(cache) => {
-                scatter::merged_top_k(&cache.probes(&self.shards), mask, attr, k, n_attr, scratch)
-            }
-            None => scatter::merged_top_k(&self.shards, mask, attr, k, n_attr, scratch),
-        }
-    }
-
-    /// Computes the stratified shard assignment (the same largest-remainder
-    /// plan the local backend computes) without touching the wire: strata
-    /// are fetched lazily, on first touch, by [`Self::sample_tuple`]. A
-    /// full `sample_rows` draw still costs one pipelined round per
-    /// contributing shard, while a sparse `SampleAt` probe served by a
-    /// gateway fetches only the strata it actually reads — a few-byte probe
-    /// line can no longer demand the whole `k`-row draw.
-    fn plan_samples(&self, k: usize, seed: u64) -> Result<RemoteSamplePlan> {
-        let assignment = scatter::sample_assignment(&self.shard_ns(), k);
-        let index_lists = scatter::shard_index_lists(&assignment, self.shards.len());
-        let strata = (0..self.shards.len()).map(|_| Mutex::new(None)).collect();
-        Ok(RemoteSamplePlan {
-            k,
-            seed,
-            assignment,
-            index_lists,
-            strata,
-        })
-    }
-
-    /// Copies tuple `index` out of its shard's stratum, fetching the
-    /// stratum with one pipelined `SampleAt` probe on first touch. Tuple
-    /// streams are keyed on `(seed, global index)` on the shard side, so
-    /// the fetched rows are bitwise the rows the local backend would draw.
-    fn sample_tuple(
-        &self,
-        plan: &RemoteSamplePlan,
-        index: usize,
-        _seed: u64,
-        row: &mut [u32],
-        _scratch: &mut Vec<()>,
-    ) -> Result<()> {
-        let shard_idx = *plan
-            .assignment
-            .get(index)
-            .ok_or(ModelError::ShapeMismatch)? as usize;
-        let indices = &plan.index_lists[shard_idx];
-        // Index lists are built in ascending global order, so the row's
-        // position within the stratum is found by binary search.
-        let pos = indices
-            .binary_search(&(index as u64))
-            .map_err(|_| ModelError::ShapeMismatch)?;
-        let mut stratum = plan.strata[shard_idx].lock().expect("sample stratum lock");
-        if stratum.is_none() {
-            let rows =
-                self.shards[shard_idx].probe_sample_at(plan.k, plan.seed, indices, &mut ())?;
-            for fetched in &rows {
-                if fetched.len() != row.len() {
-                    return Err(self.shards[shard_idx].named(format!(
-                        "answered a row of arity {} (schema arity {})",
-                        fetched.len(),
-                        row.len()
-                    )));
-                }
-            }
-            *stratum = Some(rows);
-        }
-        row.copy_from_slice(&stratum.as_ref().expect("stratum fetched")[pos]);
-        Ok(())
-    }
-
-    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        self.cache.as_ref().map(|cache| cache.snapshot())
+    fn mixture(&self) -> &Mixture<RemoteShard> {
+        &self.mixture
     }
 
     /// The delta owner's last *observed* epoch. `0` until an append or
-    /// [`SummaryBackend::ingest_stats`] reply has been seen — the gateway
+    /// `ingest_stats` reply has been seen — the gateway
     /// learns epochs from replies, it does not poll.
     fn epoch(&self) -> u64 {
         self.delta_owner().last_seen_epoch()
@@ -1388,20 +1173,4 @@ impl SummaryBackend for RemoteShardedSummary {
         owner.note_epoch(stats.epoch);
         Some(stats)
     }
-}
-
-/// The per-draw sample plan of the remote backend: the stratified shard
-/// assignment plus lazily fetched per-shard strata (see
-/// [`SummaryBackend::plan_samples`] on [`RemoteShardedSummary`]).
-#[derive(Debug)]
-pub struct RemoteSamplePlan {
-    k: usize,
-    seed: u64,
-    /// Shard per global tuple index.
-    assignment: Vec<u32>,
-    /// Ascending global indices per shard; positions align with the
-    /// fetched stratum rows.
-    index_lists: Vec<Vec<u64>>,
-    /// Fetched rows per shard, populated on first touch.
-    strata: Vec<Mutex<Option<Vec<Vec<u32>>>>>,
 }

@@ -238,3 +238,75 @@ fn remote_backend_routes_appends_and_gather_cache_stays_fresh() {
     live_handle.shutdown();
     static_handle.shutdown();
 }
+
+/// The gateway's `n` and mixture weights follow a dynamic live shard. Once
+/// the background re-handshake adopts the folded cardinality, `n` counts
+/// the appended rows and `probability` is the mixture of the two nodes'
+/// own probabilities under the fresh weights `n_s / n`, bit for bit.
+#[test]
+fn gateway_n_and_weights_follow_a_growing_live_shard() {
+    let summary = demo::demo_summary(240, 2).unwrap();
+    let n_total = summary.n();
+    let (live_handle, n0) = serve_live_shard0(&summary, 32);
+    let shard1 = summary.shards()[1].clone();
+    let n1 = shard1.n();
+    let static_handle = serve(QueryEngine::new(shard1), "127.0.0.1:0").unwrap();
+    let manifest = vec![
+        ClusterShard {
+            index: 0,
+            n: 0,
+            addrs: vec![live_handle.local_addr().to_string()],
+        },
+        ClusterShard {
+            index: 1,
+            n: n1,
+            addrs: vec![static_handle.local_addr().to_string()],
+        },
+    ];
+    let mut remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
+    remote.start_rehandshake(Duration::from_millis(20));
+    let engine = QueryEngine::new(remote);
+    assert_eq!(engine.n(), n_total);
+
+    let epoch0 = engine.epoch();
+    engine.append_rows(&append_batch(48), None).unwrap();
+    assert!(wait_for_fold(&engine, epoch0), "fold did not publish");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while engine.backend().shards()[0].n() == n0 {
+        assert!(
+            Instant::now() < deadline,
+            "re-handshake never adopted the grown n"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let grown0 = engine.backend().shards()[0].n();
+    assert_eq!(grown0, n0 + 48);
+    assert_eq!(engine.n(), n_total + 48, "gateway n must follow the shard");
+
+    let pred = Predicate::new().eq(a(0), 1);
+    let node_probability = |handle: &ServerHandle| {
+        let mut client = Client::connect(handle.local_addr().to_string()).unwrap();
+        let req = entropydb_core::plan::QueryRequest::probability(pred.clone());
+        match client.execute(&req).unwrap() {
+            entropydb_core::plan::QueryResponse::Probability(p) => p,
+            other => panic!("unexpected probability answer {other:?}"),
+        }
+    };
+    let (p0, p1) = (
+        node_probability(&live_handle),
+        node_probability(&static_handle),
+    );
+    let n = engine.n() as f64;
+    let (w0, w1) = (grown0 as f64 / n, n1 as f64 / n);
+    let want = (0.0 + w0 * p0 + w1 * p1).clamp(0.0, 1.0);
+    let got = engine.probability(&pred).unwrap();
+    assert_eq!(
+        got.to_bits(),
+        want.to_bits(),
+        "gateway {got} vs mixture {want}"
+    );
+
+    drop(engine);
+    live_handle.shutdown();
+    static_handle.shutdown();
+}
